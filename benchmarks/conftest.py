@@ -8,16 +8,17 @@ kernel counts).  They resolve through the pipeline stage graph
 (:mod:`repro.store`), so pointing ``REPRO_STORE_DIR`` at a directory makes
 repeat sessions reuse every unchanged stage artifact.
 
-The session also emits a perf snapshot at the repo root — ``BENCH_PR10.json``
-by default, overridable with the ``REPRO_BENCH_OUT`` environment variable so
-each PR's bench run stops clobbering the previous PR's artifact — recording
-wall-clock seconds per pipeline phase (preprocess, train, sample, execute)
-plus the ``synthesis`` schema version the sample phase was measured under
-(``sample_schema``), so ``scripts/bench_compare.py`` can flag — rather than
-fail — sample comparisons spanning a sampling-semantics bump.  See the
-"Performance" section of ROADMAP.md for how to read it and for the
-benchmark protocol; ``bench_compare`` also refuses to compare snapshots
-taken at different scales.
+When the ``REPRO_BENCH_OUT`` environment variable names a file, the session
+also writes a perf snapshot there (relative to the repo root).  Unset, it
+writes nothing, so a plain test run never rewrites a committed snapshot.
+The snapshot records wall-clock seconds per pipeline phase (preprocess,
+train, sample, execute) plus the ``synthesis`` schema version the sample
+phase was measured under (``sample_schema``), so
+``scripts/bench_compare.py`` can flag — rather than fail — sample
+comparisons spanning a sampling-semantics bump.  See the "Performance"
+section of ROADMAP.md for how to read it and for the benchmark protocol;
+``bench_compare`` also refuses to compare snapshots taken at different
+scales.
 
 Sharding rides along through the default runner: ``REPRO_SHARDS`` /
 ``REPRO_WORKERS`` split the data-parallel stages and dispatch them to a
@@ -58,9 +59,7 @@ _PHASE_TIMINGS: dict[str, float] = {}
 #: warm-phase detection only looks at this session's stage resolutions.
 _RUNNER_MARK = 0
 
-_SNAPSHOT_PATH = Path(__file__).resolve().parent.parent / os.environ.get(
-    "REPRO_BENCH_OUT", "BENCH_PR10.json"
-)
+_ROOT = Path(__file__).resolve().parent.parent
 
 #: Pre-PR-1 reference numbers for the quick-scale synthesize-and-measure
 #: pipeline, measured at commit 4066a81 (the PR-0 tree) on this machine with
@@ -251,11 +250,14 @@ def _build_snapshot() -> dict | None:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Write the per-phase perf snapshot once the heavy fixtures have run."""
+    """Write the per-phase perf snapshot to ``REPRO_BENCH_OUT``, if it is set."""
+    out = os.environ.get("REPRO_BENCH_OUT")
+    if not out:
+        return
     snapshot = _build_snapshot()
     if snapshot is None:
         return
     try:
-        _SNAPSHOT_PATH.write_text(json.dumps(snapshot, indent=2) + "\n")
+        (_ROOT / out).write_text(json.dumps(snapshot, indent=2) + "\n")
     except OSError:
         pass

@@ -41,9 +41,8 @@ _THRESHOLD = 0.10
 def _baseline_snapshot(tmp_path) -> Path | None:
     """The baseline to gate against — the *committed* bytes when possible.
 
-    The default bench output and the gate baseline are the same file since
-    PR 5 (the gate pins this PR's own re-baselined snapshot), so a casual
-    local bench run overwrites the working-tree copy.  Preferring
+    A bench session with ``REPRO_BENCH_OUT`` naming the baseline file
+    overwrites the working-tree copy.  Preferring
     ``git show HEAD:BENCH_PR10.json`` keeps the gate pinned to the committed
     reference regardless of local clobbers; outside a git checkout the
     working-tree file is used as-is.

@@ -14,12 +14,9 @@
 # Tier-1 is every default-selected test under tests/ — the chaos soak and
 # the perf gate stay opt-in because they spawn real worker fleets and
 # timed runs, which are too heavy (and too jitter-prone) for the gate.
-# The REPRO_SPECIALIZE=0 leg always runs: it re-executes the differential
-# and specialization suites with analyzer-guided fast paths disabled, so a
-# regression in the generic tier can't hide behind the specialized one.
-# The perf gate needs a quiet machine and a cold store; it restores the
-# snapshot the bench session writes so an opt-in gate run never dirties
-# the committed BENCH artifact.
+# The perf gate needs a quiet machine and a cold store.  It compares
+# against the committed BENCH snapshot and writes its fresh timings under
+# pytest's tmp_path, so a gate run never dirties the working tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,16 +38,9 @@ if [[ "${LINT:-0}" != "0" ]]; then
     python -m repro lint --soundness
 fi
 
-echo "== specialize opt-out: REPRO_SPECIALIZE=0 must reproduce generic behaviour =="
-REPRO_SPECIALIZE=0 python -m pytest tests/test_specialization.py tests/test_execution_compiler.py -x -q
-
 if [[ "${PERFGATE:-0}" != "0" ]]; then
     echo "== perf gate (-m perfgate): phase timings vs committed BENCH =="
     python -m pytest benchmarks -m perfgate -x -q
-    # The bench session rewrites the default snapshot with this run's
-    # timings; the gate already compared against the committed bytes
-    # (git show HEAD:...), so put the committed artifact back.
-    git checkout -- BENCH_PR10.json 2>/dev/null || true
 fi
 
 echo "ci_check: OK"

@@ -1,23 +1,21 @@
 #!/usr/bin/env python
-"""Four-way differential verification of the specialized lockstep tier.
+"""Three-way differential verification of the execution engines.
 
 Synthesizes ``--count`` kernels (default 500) with the trained CLgen model
-and executes every one through all four engines — legacy interpreter,
-closure compiler, generic lockstep, and the analyzer-specialized lockstep
-tier — asserting bit-identical buffer contents and identical execution
-stats at every step.  It also re-checks every suite kernel, and verifies
-the sample-time compile seeding (``compile_parsed_body`` →
+and executes every one through all three engines — legacy interpreter,
+closure compiler and the lockstep tier (with the router's closure fallback
+on bailout) — asserting bit-identical buffer contents and identical
+execution stats at every step.  It also re-checks every suite kernel, and
+verifies the sample-time compile seeding (``compile_parsed_body`` →
 ``seed_compiled_source``) against a fresh frontend run: printed unit, IR
 pickle and semantics pickle must match byte-for-byte.
 
-This is the acceptance evidence for PR 10's "all engines + specialized
-tier bit-identical across every suite kernel and >= 500 synthesized
-kernels" criterion.  Exit status is non-zero on any divergence.
+Exit status is non-zero on any divergence.
 
 Usage::
 
-    PYTHONPATH=src python scripts/verify_specialization.py
-    PYTHONPATH=src python scripts/verify_specialization.py --count 500 --seed 7
+    PYTHONPATH=src python scripts/verify_engines.py
+    PYTHONPATH=src python scripts/verify_engines.py --count 500 --seed 7
 """
 
 from __future__ import annotations
@@ -65,14 +63,12 @@ def _diff(reference, candidate) -> str | None:
 
 
 def _verify_kernel(source: str, counters: dict[str, int], failures: list[str]) -> None:
-    """Run one kernel through all four engines and record agreement."""
-    from repro.analysis import analyze_kernel
+    """Run one kernel through all three engines and record agreement."""
     from repro.clc import compile_source
     from repro.driver.harness import HostDriver
     from repro.driver.payload import PayloadConfig, PayloadGenerator
     from repro.errors import KernelTimeoutError, LockstepBailout
     from repro.execution import CompiledKernel, KernelInterpreter, try_vectorize
-    from repro.execution.vectorizer import NotVectorizable, VectorizedKernel
     from repro.preprocess.shim import shim_include_resolver, with_shim
 
     unit = compile_source(
@@ -82,7 +78,7 @@ def _verify_kernel(source: str, counters: dict[str, int], failures: list[str]) -
     work_dim = HostDriver._kernel_work_dim(kernel)
     generator = PayloadGenerator(PayloadConfig(global_size=32, local_size=8, seed=3))
     payload = generator.generate(kernel, work_dim=work_dim)
-    clones = [payload.clone() for _ in range(3)]
+    clones = [payload.clone() for _ in range(2)]
 
     try:
         reference = _execute(KernelInterpreter(unit, kernel.name), payload)
@@ -122,31 +118,6 @@ def _verify_kernel(source: str, counters: dict[str, int], failures: list[str]) -
     error = _diff(reference, lockstep)
     if error:
         failures.append(f"{kernel.name}: lockstep-vs-interpreter {error}")
-        return
-
-    facts = analyze_kernel(unit, kernel.name).specialization
-    if facts is None or not facts.eligible:
-        counters["not-eligible"] += 1
-        return
-    try:
-        specialized_engine = VectorizedKernel(unit, kernel.name, specialization=facts)
-    except NotVectorizable:
-        counters["not-eligible"] += 1
-        return
-    try:
-        specialized = _execute(specialized_engine, clones[2])
-    except LockstepBailout as bailout:
-        # Eligible kernels carry the never-bails promise: a bailout here is
-        # a specialization soundness failure, not a fallback.
-        failures.append(f"{kernel.name}: specialized tier bailed out: {bailout}")
-        return
-    error = _diff(reference, specialized)
-    if error:
-        failures.append(f"{kernel.name}: specialized-vs-interpreter {error}")
-        return
-    counters["specialized"] += 1
-    if facts.uniform_control:
-        counters["mask-elided"] += 1
 
 
 def _verify_seed_fidelity(source: str, failures: list[str]) -> bool:
@@ -196,8 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     from repro.suites.registry import all_suites
 
     counters: dict[str, int] = {
-        "closure": 0, "lockstep": 0, "lockstep-bailout": 0, "specialized": 0,
-        "mask-elided": 0, "not-vectorizable": 0, "not-eligible": 0, "timeout": 0,
+        "closure": 0, "lockstep": 0, "lockstep-bailout": 0,
+        "not-vectorizable": 0, "timeout": 0,
     }
     failures: list[str] = []
 
@@ -237,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"seeded compilations checked against fresh compiles: {seeded_checked}")
 
     total = suite_kernels + len(sources)
-    print(f"kernels verified four-way: {total}")
+    print(f"kernels verified three-way: {total}")
     for name in sorted(counters):
         print(f"  {name:<18}{counters[name]:>6}")
     if failures:

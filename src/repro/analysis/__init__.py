@@ -38,7 +38,6 @@ from repro.analysis.divergence import (
 )
 from repro.analysis.lattice import Div
 from repro.analysis.passes import BarrierReport, RaceSite, barrier_divergence, race_hazards
-from repro.analysis.specialize import SpecializationFacts, derive_specialization
 
 __all__ = [
     "AccessSite",
@@ -54,12 +53,10 @@ __all__ = [
     "KernelVerdict",
     "PredictedCause",
     "RaceSite",
-    "SpecializationFacts",
     "analyze_kernel",
     "analyze_source",
     "barrier_divergence",
     "classify",
-    "derive_specialization",
     "race_hazards",
 ]
 

@@ -38,7 +38,6 @@ from enum import Enum
 from repro.analysis import divergence as dv
 from repro.analysis.divergence import KernelFacts
 from repro.analysis.passes import BarrierReport, RaceSite, barrier_divergence, race_hazards
-from repro.analysis.specialize import SpecializationFacts, derive_specialization
 
 #: Step allowance for the ``safe`` class, against the lockstep tier's
 #: 50 000 steps-per-item default budget.  The estimate already assumes
@@ -86,9 +85,6 @@ class KernelVerdict:
     race_sites: int = 0
     step_estimate: float = 0.0
     flags: frozenset[str] = frozenset()
-    #: Analyzer-guided fast-path gates for the lockstep tier (``None`` on
-    #: conservative fallback verdicts built without a completed analysis).
-    specialization: SpecializationFacts | None = None
 
     @property
     def bailout_class(self) -> int:
@@ -127,9 +123,6 @@ class KernelVerdict:
             "race_sites": self.race_sites,
             "step_estimate": self.step_estimate,
             "flags": sorted(self.flags),
-            "specialization": (
-                None if self.specialization is None else self.specialization.to_dict()
-            ),
         }
 
 
@@ -243,9 +236,6 @@ def classify(facts: KernelFacts) -> KernelVerdict:
         race_sites=len(races),
         step_estimate=facts.step_estimate,
         flags=frozenset(facts.flags),
-        specialization=derive_specialization(
-            facts, races, safe=classification is Classification.SAFE
-        ),
     )
 
 

@@ -25,7 +25,6 @@ from repro.errors import CompileError, ExecutionError, KernelTimeoutError
 from repro.execution.cache import cached_compile_source, run_kernel
 from repro.execution.device import KernelProfile, Platform, all_platforms
 from repro.execution.interpreter import ExecutionStats
-from repro.execution.memory import LaneArena
 from repro.preprocess.shim import shim_include_resolver, with_shim
 
 
@@ -152,10 +151,6 @@ class HostDriver:
         #: (source sha1, kernel name) -> _ExecutionRecord | None (None caches
         #: a compile/execution failure so it is not retried per dataset).
         self._execution_cache: dict[tuple[str, str | None], _ExecutionRecord | None] = {}
-        #: Lane-buffer arena shared by every execution on this driver: the
-        #: lockstep tier recycles its per-launch NumPy allocations through
-        #: it instead of re-allocating per kernel.
-        self._arena = LaneArena()
         #: Payload generation is configured once per driver; the generator
         #: itself is stateless across ``generate`` calls (each draws from a
         #: fresh seeded RNG), so one instance serves the whole batch.
@@ -276,7 +271,6 @@ class HostDriver:
                 kernel_name=kernel.name,
                 max_steps_per_item=self.config.max_steps_per_item,
                 engine=self.config.engine,
-                arena=self._arena,
             )
         except (KernelTimeoutError, ExecutionError):
             return None
@@ -363,8 +357,8 @@ class HostDriver:
                     stacklevel=2,
                 )
         # Batched measure loop: the job list is zipped once, and the
-        # per-measurement fixed costs (payload generator, lane arena,
-        # unscaled profile) live on the driver, shared across the batch.
+        # per-measurement fixed costs (payload generator, unscaled profile)
+        # live on the driver, shared across the batch.
         measure = self.measure_source
         measurements = [
             measurement

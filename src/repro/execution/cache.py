@@ -31,12 +31,7 @@ from repro.execution.compiler import CompiledKernel
 from repro.execution.interpreter import ExecutionResult, KernelInterpreter
 from repro.execution.memory import MemoryPool
 from repro.execution.ndrange import NDRange
-from repro.execution.vectorizer import (
-    VECTORIZER_STATS,
-    NotVectorizable,
-    VectorizedKernel,
-    try_vectorize,
-)
+from repro.execution.vectorizer import VectorizedKernel, try_vectorize
 
 #: Cached marker for "this kernel is outside the lockstep subset".
 _NOT_VECTORIZABLE = object()
@@ -51,16 +46,13 @@ def _cache_capacity(default: int = 512) -> int:
 class CompilationCache:
     """Bounded, thread-safe cache of compiled kernel artifacts.
 
-    Four artifact kinds share the cache structure: ``"closure"`` (the
+    Three artifact kinds share the cache structure: ``"closure"`` (the
     :class:`CompiledKernel` engine), ``"vectorized"`` (the lockstep
     :class:`VectorizedKernel` tier, where a *not vectorizable* verdict is
-    cached too, so rejected kernels are analysed at most once),
-    ``"vectorized-specialized"`` (the analyzer-guided specialized lockstep
-    instance, cached beside — never instead of — the generic one, so
-    ``REPRO_SPECIALIZE=0`` and misprediction fallback always find the
-    generic artifact under its unchanged key), and ``"analysis"`` (the
-    static analyzer's :class:`~repro.analysis.KernelVerdict`, consulted by
-    the engine router before each lockstep attempt).
+    cached too, so rejected kernels are analysed at most once), and
+    ``"analysis"`` (the static analyzer's
+    :class:`~repro.analysis.KernelVerdict`, consulted by the engine router
+    before each lockstep attempt).
     """
 
     def __init__(self, max_entries: int | None = None):
@@ -77,26 +69,11 @@ class CompilationCache:
 
     # ------------------------------------------------------------------
 
-    def _build(self, unit, kernel_name, max_steps_per_item, artifact):
+    @staticmethod
+    def _build(unit, kernel_name, max_steps_per_item, artifact):
         if artifact == "vectorized":
             compiled = try_vectorize(unit, kernel_name, max_steps_per_item)
             return _NOT_VECTORIZABLE if compiled is None else compiled
-        if artifact == "vectorized-specialized":
-            # The specialized instance leans on the analyzer's verdict (an
-            # instance-level fetch so the "analysis" artifact is shared);
-            # ineligible kernels cache the sentinel and run the generic tier.
-            verdict = self.get(unit, kernel_name, artifact="analysis")
-            facts = getattr(verdict, "specialization", None)
-            if facts is None or not facts.eligible:
-                return _NOT_VECTORIZABLE
-            try:
-                compiled = VectorizedKernel(
-                    unit, kernel_name, max_steps_per_item, specialization=facts
-                )
-            except NotVectorizable:
-                return _NOT_VECTORIZABLE
-            VECTORIZER_STATS.kernels_specialized += 1
-            return compiled
         if artifact == "analysis":
             from repro.analysis import analyze_kernel
 
@@ -128,8 +105,8 @@ class CompilationCache:
             else:
                 ref = self._make_reaper(unit, unit_id)
                 # [digest computed?, digest] — one source print per unit even
-                # when several artifact kinds (analysis, vectorized,
-                # specialized, closure) miss at identity level in a row.
+                # when several artifact kinds (analysis, vectorized, closure)
+                # miss at identity level in a row.
                 entry = (ref, {}, [False, None])
                 self._by_identity[unit_id] = entry
                 if ref is None and len(self._by_identity) > 4 * self._max_entries:
@@ -247,24 +224,6 @@ def vectorized_kernel_for(
     return None if artifact is _NOT_VECTORIZABLE else artifact
 
 
-def specialized_kernel_for(
-    unit: ast.TranslationUnit,
-    kernel_name: str | None = None,
-    max_steps_per_item: int = 50_000,
-) -> VectorizedKernel | None:
-    """Fetch (or build) the analyzer-specialized lockstep artifact.
-
-    ``None`` when the kernel is not eligible — the analyzer did not prove it
-    SAFE with uniform control — in which case the caller runs the generic
-    lockstep tier.  The specialized instance is cached under its own
-    artifact kind, beside (never instead of) the generic one.
-    """
-    artifact = GLOBAL_COMPILATION_CACHE.get(
-        unit, kernel_name, max_steps_per_item, artifact="vectorized-specialized"
-    )
-    return None if artifact is _NOT_VECTORIZABLE else artifact
-
-
 # ---------------------------------------------------------------------------
 # Frontend (source text -> CompilationResult) caching.
 # ---------------------------------------------------------------------------
@@ -345,28 +304,6 @@ def seed_compiled_source(source: str, result, **kwargs) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _static_routing_enabled() -> bool:
-    """Whether ``engine="auto"`` consults the static analyzer before the
-    lockstep attempt.  ``REPRO_STATIC_ROUTING=0`` disables routing for
-    routed-vs-unrouted A/B comparisons; routing never changes outputs (all
-    engines are bit-identical), only which engine runs first."""
-    from repro.envutil import env_flag
-
-    return env_flag("REPRO_STATIC_ROUTING", default=True)
-
-
-def _specialize_enabled() -> bool:
-    """Whether ``engine="auto"`` tries the analyzer-specialized lockstep
-    instance before the generic one.  ``REPRO_SPECIALIZE=0`` reproduces the
-    generic tier's behavior exactly (same artifacts, same code paths);
-    specialization never changes outputs, only how fast they are computed.
-    Independent of ``REPRO_STATIC_ROUTING`` — routing decides *whether* to
-    attempt lockstep, specialization decides *which* lockstep runs first."""
-    from repro.envutil import env_flag
-
-    return env_flag("REPRO_SPECIALIZE", default=True)
-
-
 def run_kernel(
     unit: ast.TranslationUnit,
     pool: MemoryPool,
@@ -375,7 +312,6 @@ def run_kernel(
     kernel_name: str | None = None,
     max_steps_per_item: int = 50_000,
     engine: str = "auto",
-    arena=None,
 ) -> ExecutionResult:
     """Execute *kernel_name* (or the first kernel) of *unit*.
 
@@ -387,44 +323,26 @@ def run_kernel(
       untouched at bailout, so the fallback is exact); the closure engine
       otherwise.  Before attempting lockstep, the static analyzer's cached
       verdict is consulted: kernels it proves bailout-certain skip straight
-      to the closure engine (disable with ``REPRO_STATIC_ROUTING=0``), and
-      kernels it proves SAFE with uniform control run the analyzer-
-      specialized lockstep instance first (disable with
-      ``REPRO_SPECIALIZE=0``).  The fallback lattice is specialized →
-      generic lockstep → closure; every tier is bit-identical.
-    * ``"vectorized"`` — like ``"auto"`` but always attempts the *generic*
-      lockstep tier, ignoring the static verdict (and the specializer).
+      to the closure engine.  The fallback order is lockstep → closure, and
+      both engines are bit-identical.
+    * ``"vectorized"`` — like ``"auto"`` but always attempts the lockstep
+      tier, ignoring the static verdict (the routed-vs-unrouted A/B lever).
     * ``"compiled"`` — the closure engine only.
     * ``"interpreter"`` — the legacy tree walker (differential tests).
-
-    *arena* is an optional :class:`~repro.execution.memory.LaneArena` the
-    lockstep tiers recycle their scratch NumPy allocations through.
     """
     if engine == "interpreter":
         interpreter = KernelInterpreter(unit, kernel_name, max_steps_per_item)
         return interpreter.execute(pool, scalar_args, ndrange)
-    if engine in ("auto", "vectorized"):
-        attempt = True
-        if engine == "auto" and _static_routing_enabled():
-            verdict = analysis_verdict_for(unit, kernel_name)
-            if getattr(verdict, "skip_vectorization", False):
-                from repro.analysis import ANALYSIS_STATS
+    if engine == "auto" and analysis_verdict_for(unit, kernel_name).skip_vectorization:
+        from repro.analysis import ANALYSIS_STATS
 
-                ANALYSIS_STATS.routed_skips += 1
-                attempt = False
-        if attempt:
-            if engine == "auto" and _specialize_enabled():
-                specialized = specialized_kernel_for(unit, kernel_name, max_steps_per_item)
-                if specialized is not None:
-                    try:
-                        return specialized.execute(pool, scalar_args, ndrange, arena)
-                    except LockstepBailout:
-                        pass  # misprediction: re-run on the generic tier
-            vectorized = vectorized_kernel_for(unit, kernel_name, max_steps_per_item)
-            if vectorized is not None:
-                try:
-                    return vectorized.execute(pool, scalar_args, ndrange, arena)
-                except LockstepBailout:
-                    pass
+        ANALYSIS_STATS.routed_skips += 1
+    elif engine in ("auto", "vectorized"):
+        vectorized = vectorized_kernel_for(unit, kernel_name, max_steps_per_item)
+        if vectorized is not None:
+            try:
+                return vectorized.execute(pool, scalar_args, ndrange)
+            except LockstepBailout:
+                pass
     compiled = compiled_kernel_for(unit, kernel_name, max_steps_per_item)
     return compiled.execute(pool, scalar_args, ndrange)

@@ -180,40 +180,6 @@ class Buffer:
         )
 
 
-class LaneArena:
-    """A free-list pool of lane-sized NumPy scratch arrays.
-
-    The lockstep tier allocates a handful of ``(size,)`` float64/int64
-    arrays per kernel execution (buffer images, hazard trackers); across a
-    measurement batch the same shapes recur thousands of times.  The host
-    driver owns one arena and threads it through ``run_kernel`` so those
-    allocations are recycled instead of re-malloc'd.
-
-    Contract: :meth:`take` returns an *uninitialised* array — every caller
-    must fully overwrite it before reading, which is what makes reuse
-    leak-free across measurements (verified by the arena-reuse tests).
-    """
-
-    __slots__ = ("_free", "_cap")
-
-    def __init__(self, max_entries_per_key: int = 16):
-        self._free: dict[tuple[int, str], list[np.ndarray]] = {}
-        self._cap = max_entries_per_key
-
-    def take(self, size: int, dtype) -> np.ndarray:
-        stack = self._free.get((size, np.dtype(dtype).char))
-        if stack:
-            return stack.pop()
-        return np.empty(size, dtype=dtype)
-
-    def release(self, array: np.ndarray | None) -> None:
-        if array is None or array.ndim != 1 or array.base is not None:
-            return
-        stack = self._free.setdefault((array.size, array.dtype.char), [])
-        if len(stack) < self._cap:
-            stack.append(array)
-
-
 class LockstepBuffer:
     """A NumPy view of one :class:`Buffer` for the vectorized (SIMT) tier.
 
@@ -247,17 +213,9 @@ class LockstepBuffer:
     __slots__ = (
         "source", "name", "size", "element_kind", "is_float", "address_space",
         "data", "writer", "reader_max", "reads", "writes", "out_of_bounds",
-        "track_hazards", "affine", "_arena",
     )
 
-    def __init__(
-        self,
-        source: Buffer,
-        *,
-        track_hazards: bool = True,
-        affine: bool = False,
-        arena: LaneArena | None = None,
-    ):
+    def __init__(self, source: Buffer):
         if source.vector_width > 1:
             raise LockstepBailout("vector-element buffers are not lockstep-executable")
         if source.strict:
@@ -268,48 +226,19 @@ class LockstepBuffer:
         self.element_kind = source.element_kind
         self.is_float = source.element_kind in ("float", "double", "half")
         self.address_space = source.address_space
-        # The affine strided paths skip hazard bookkeeping entirely, so they
-        # are only sound on buffers the race pass proved hazard-free.
-        self.track_hazards = track_hazards
-        self.affine = affine and not track_hazards
-        self._arena = arena
         dtype = np.float64 if self.is_float else np.int64
         try:
             # Scalar buffers hold plain floats/ints (vector elements bailed
             # above), so filling from ``_data`` directly is bit-identical to
             # the historical ``to_list()`` round-trip without the copy.
-            if arena is not None:
-                data = arena.take(source.size, dtype)
-                data[:] = source._data
-            else:
-                data = np.array(source._data, dtype=dtype)
+            self.data = np.array(source._data, dtype=dtype)
         except (OverflowError, TypeError, ValueError) as error:
             raise LockstepBailout(f"buffer {source.name!r} not int64/float64 representable") from error
-        self.data = data
         self.writer: np.ndarray | None = None  # allocated on first store
         self.reader_max: np.ndarray | None = None  # allocated on first load
         self.reads = 0
         self.writes = 0
         self.out_of_bounds = 0
-
-    def _tracker(self) -> np.ndarray:
-        """A fresh ``(size,)`` int64 tracker initialised to -1 (no lane)."""
-        if self._arena is not None:
-            tracker = self._arena.take(self.size, np.int64)
-            tracker.fill(-1)
-            return tracker
-        return np.full(self.size, -1, dtype=np.int64)
-
-    def recycle(self) -> None:
-        """Return this view's arrays to the arena (after commit/bailout)."""
-        if self._arena is None:
-            return
-        self._arena.release(self.data)
-        self._arena.release(self.writer)
-        self._arena.release(self.reader_max)
-        self.data = np.empty(0, dtype=self.data.dtype)
-        self.writer = None
-        self.reader_max = None
 
     # ------------------------------------------------------------------
 
@@ -322,7 +251,7 @@ class LockstepBuffer:
         """
         if self.size == 0:
             return 0
-        if lane_ids is not None and self.track_hazards:
+        if lane_ids is not None:
             # _record_read checks hazards and tracks readers without touching
             # the read/write counters (to_list() is not a counted access).
             readers = lane_ids if mask is None else lane_ids[mask]
@@ -355,23 +284,15 @@ class LockstepBuffer:
                 if self.size == 0:
                     return (kind, 0.0 if self.is_float else 0)
                 index = min(max(index, 0), self.size - 1)
-            if self.track_hazards:
-                readers = lane_ids if mask is None else lane_ids[mask]
-                self._record_read(np.full(readers.size, index, dtype=np.int64), readers)
+            readers = lane_ids if mask is None else lane_ids[mask]
+            self._record_read(np.full(readers.size, index, dtype=np.int64), readers)
             value = self.data[index]
             return (kind, float(value) if self.is_float else int(value))
-        if self.affine and mask is None and n > 1:
-            strided = self._strided_cells(index_data, lane_ids, n)
-            if strided is not None:
-                # Must copy: the slice is a view and later stores would
-                # alias; the gather below materialises a fresh array too.
-                return (kind, strided.copy())
         if mask is None:
             clamped = self._clamp(index_data, None)
             if self.size == 0:
                 return (kind, np.zeros(n, dtype=self.data.dtype))
-            if self.track_hazards:
-                self._record_read(clamped, lane_ids)
+            self._record_read(clamped, lane_ids)
             return (kind, self.data[clamped])
         sub_index = index_data[mask]
         in_range = (sub_index >= 0) & (sub_index < self.size)
@@ -382,34 +303,9 @@ class LockstepBuffer:
         if self.size == 0:
             return (kind, out)
         clamped = np.clip(sub_index, 0, self.size - 1)
-        if self.track_hazards:
-            self._record_read(clamped, lane_ids[mask])
+        self._record_read(clamped, lane_ids[mask])
         out[mask] = self.data[clamped]
         return (kind, out)
-
-    def _strided_cells(self, index_data: np.ndarray, lane_index: np.ndarray, n: int):
-        """The strided view of ``data`` an AFFINE subscript addresses.
-
-        Returns ``None`` when the access is not expressible as an in-bounds
-        forward stride (zero/negative strides, OOB endpoints) — the caller
-        falls through to the generic gather/scatter, preserving clamping
-        and out-of-bounds accounting exactly.  A subscript that *looks*
-        strided at the endpoints but deviates in between contradicts the
-        analyzer's single-form AFFINE claim: that misprediction raises
-        ``LockstepBailout`` and execution re-runs on the generic tier.
-        """
-        i0 = int(index_data[0])
-        stride = int(index_data[1]) - i0
-        if stride <= 0 or i0 < 0:
-            return None
-        last = i0 + stride * (n - 1)
-        if last >= self.size:
-            return None
-        if not np.array_equal(index_data, i0 + stride * lane_index):
-            raise LockstepBailout(
-                f"affine-subscript misprediction on {self.name!r}"
-            )
-        return self.data[i0 : last + 1 : stride]
 
     def _record_read(self, cells: np.ndarray, readers: np.ndarray) -> None:
         """Check the read against past writers and remember the reader."""
@@ -418,7 +314,7 @@ class LockstepBuffer:
             if np.any((owners >= 0) & (owners != readers)):
                 raise LockstepBailout(f"cross-lane read-after-write hazard on {self.name!r}")
         if self.reader_max is None:
-            self.reader_max = self._tracker()
+            self.reader_max = np.full(self.size, -1, dtype=np.int64)
         # Lane ids ascend within a scatter, so last-write-wins keeps the max
         # even for duplicate cells.
         self.reader_max[cells] = np.maximum(self.reader_max[cells], readers)
@@ -428,16 +324,6 @@ class LockstepBuffer:
         or uniform already coerced to this buffer's element flavour."""
         count = n if mask is None else int(mask.sum())
         self.writes += count
-        if self.affine and mask is None and n > 1 and np.ndim(index_data) == 1:
-            strided = self._strided_cells(index_data, lane_ids, n)
-            if strided is not None:
-                try:
-                    strided[...] = value_data
-                except OverflowError as error:
-                    raise LockstepBailout(
-                        f"stored value exceeds int64 on {self.name!r}"
-                    ) from error
-                return
         if mask is None:
             indices = np.asarray(index_data) if np.ndim(index_data) else np.full(n, int(index_data), dtype=np.int64)
             writers = lane_ids
@@ -454,24 +340,22 @@ class LockstepBuffer:
         if self.size == 0:
             return
         cells = np.clip(indices, 0, self.size - 1)
-        if self.track_hazards:
-            if self.writer is None:
-                self.writer = self._tracker()
-            owners = self.writer[cells]
-            if np.any((owners >= 0) & (owners != writers)):
-                raise LockstepBailout(f"cross-lane write-after-write hazard on {self.name!r}")
-            if self.reader_max is not None and np.any(self.reader_max[cells] > writers):
-                # A higher lane already read this cell: sequentially it would
-                # have observed this write, but in lockstep it read stale data.
-                raise LockstepBailout(f"cross-lane write-after-read hazard on {self.name!r}")
+        if self.writer is None:
+            self.writer = np.full(self.size, -1, dtype=np.int64)
+        owners = self.writer[cells]
+        if np.any((owners >= 0) & (owners != writers)):
+            raise LockstepBailout(f"cross-lane write-after-write hazard on {self.name!r}")
+        if self.reader_max is not None and np.any(self.reader_max[cells] > writers):
+            # A higher lane already read this cell: sequentially it would
+            # have observed this write, but in lockstep it read stale data.
+            raise LockstepBailout(f"cross-lane write-after-read hazard on {self.name!r}")
         try:
             self.data[cells] = values
         except OverflowError as error:
             # A uniform Python int beyond int64: the scalar engines store
             # arbitrary-precision values, so fall back to them.
             raise LockstepBailout(f"stored value exceeds int64 on {self.name!r}") from error
-        if self.track_hazards:
-            self.writer[cells] = writers
+        self.writer[cells] = writers
 
     # ------------------------------------------------------------------
 
@@ -514,13 +398,12 @@ class LockstepBuffer:
             return
         cells = np.clip(indices, 0, self.size - 1)
 
-        if self.track_hazards:
-            if self.writer is not None:
-                owners = self.writer[cells]
-                if np.any((owners >= 0) & (owners != lanes)):
-                    raise LockstepBailout(f"atomic after plain write on {self.name!r}")
-            if self.reader_max is not None and np.any(self.reader_max[cells] > lanes):
-                raise LockstepBailout(f"atomic after cross-lane read on {self.name!r}")
+        if self.writer is not None:
+            owners = self.writer[cells]
+            if np.any((owners >= 0) & (owners != lanes)):
+                raise LockstepBailout(f"atomic after plain write on {self.name!r}")
+        if self.reader_max is not None and np.any(self.reader_max[cells] > lanes):
+            raise LockstepBailout(f"atomic after cross-lane read on {self.name!r}")
 
         if operation in ("inc", "dec"):
             values = np.float64(1.0) if self.is_float else np.int64(1)
@@ -561,10 +444,9 @@ class LockstepBuffer:
                     if magnitude >= 2.0**62:
                         raise LockstepBailout("possible int64 overflow in atomic accumulation")
             ufunc.at(self.data, cells, values)
-        if self.track_hazards:
-            if self.writer is None:
-                self.writer = self._tracker()
-            self.writer[cells] = -2
+        if self.writer is None:
+            self.writer = np.full(self.size, -1, dtype=np.int64)
+        self.writer[cells] = -2
 
     def commit(self) -> None:
         """Fold data and access counters back into the source buffer."""

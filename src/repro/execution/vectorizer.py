@@ -97,7 +97,6 @@ class VectorizerStats:
     def __init__(self):
         self.kernels_vectorized = 0
         self.kernels_rejected = 0
-        self.kernels_specialized = 0
         self.executions = 0
         self.bailouts = 0
         self.last_rejection: str = ""
@@ -424,15 +423,10 @@ class VectorizedKernel:
         unit: ast.TranslationUnit,
         kernel_name: str | None = None,
         max_steps_per_item: int = 50_000,
-        specialization=None,
     ):
         kernels = unit.kernels
         if not kernels:
             raise ExecutionError("translation unit contains no kernels")
-        #: Analyzer-guided fast-path gates (``repro.analysis.specialize.
-        #: SpecializationFacts``) — ``None`` compiles the generic tier.
-        self._spec = specialization
-        self._uniform = bool(specialization is not None and specialization.uniform_control)
         self._kernel = kernels[0] if kernel_name is None else unit.kernel(kernel_name)
         self._functions = {f.name: f for f in unit.functions if f.body is not None}
         self._max_steps = max_steps_per_item
@@ -482,11 +476,6 @@ class VectorizedKernel:
             self._global_inits.append((declarator.name, init_fn))
 
         self._body_fn = self._compile_statement(self._kernel.body)
-        if specialization is not None and self._needs_groups:
-            # The specialized premises (flat lane vector, no barrier epochs)
-            # do not hold in group-sequential mode; the analyzer never marks
-            # such kernels eligible, so this is a defensive consistency check.
-            raise NotVectorizable("specialized tier does not run group-sequential kernels")
 
     @property
     def kernel(self) -> ast.FunctionDecl:
@@ -505,31 +494,26 @@ class VectorizedKernel:
         pool: MemoryPool,
         scalar_args: dict[str, object],
         ndrange: NDRange,
-        arena=None,
     ) -> ExecutionResult:
         """Run the kernel in lockstep; same contract as the other engines.
 
         Raises :class:`~repro.errors.LockstepBailout` — with the memory pool
         untouched — whenever completing the pass could diverge from the
-        scalar engines; the router falls back to the closure engine (or, for
-        a specialized instance, to the generic lockstep tier first).
-
-        *arena* is an optional :class:`~repro.execution.memory.LaneArena`
-        recycling the per-execution NumPy scratch arrays.
+        scalar engines; the router falls back to the closure engine.
         """
         if self._disabled:
             raise LockstepBailout("disabled after a prior bailout")
         VECTORIZER_STATS.executions += 1
         try:
             with np.errstate(all="ignore"):
-                return self._execute(pool, scalar_args, ndrange, arena)
+                return self._execute(pool, scalar_args, ndrange)
         except LockstepBailout as bailout:
             self._disabled = True
             VECTORIZER_STATS.bailouts += 1
             VECTORIZER_STATS.last_bailout = str(bailout)
             raise
 
-    def _execute(self, pool, scalar_args, ndrange, arena=None) -> ExecutionResult:
+    def _execute(self, pool, scalar_args, ndrange) -> ExecutionResult:
         gids, lids, grpids, group_of, n_groups = _lane_layout(ndrange)
         n = int(group_of.size)
 
@@ -539,38 +523,13 @@ class VectorizedKernel:
 
         globals_env, extra_steps = self._init_globals(stats)
 
-        spec = self._spec
         lockstep_buffers: dict[str, LockstepBuffer] = {}
         for name, buffer in pool.buffers.items():
             if buffer.address_space == "local" and not self._needs_groups:
                 raise LockstepBailout("unexpected __local buffer in lockstep pool")
-            if spec is not None:
-                lockstep_buffers[name] = LockstepBuffer(
-                    buffer,
-                    track_hazards=name not in spec.hazard_free,
-                    affine=name in spec.affine_streams,
-                    arena=arena,
-                )
-            else:
-                lockstep_buffers[name] = LockstepBuffer(buffer, arena=arena)
+            lockstep_buffers[name] = LockstepBuffer(buffer)
         views = list(lockstep_buffers.values())
 
-        try:
-            return self._run_lanes(
-                pool, scalar_args, ndrange, stats, globals_env, extra_steps,
-                lockstep_buffers, views, gids, lids, grpids, group_of, n_groups, n,
-            )
-        finally:
-            # Hand the per-execution scratch arrays back to the arena on
-            # every exit — commit() has already copied data out on success,
-            # and bailed-out views are garbage by contract.
-            for view in views:
-                view.recycle()
-
-    def _run_lanes(
-        self, pool, scalar_args, ndrange, stats, globals_env, extra_steps,
-        lockstep_buffers, views, gids, lids, grpids, group_of, n_groups, n,
-    ) -> ExecutionResult:
         base_env: dict = dict(globals_env)
         for name, is_pointer in self._param_plan:
             if is_pointer:
@@ -592,7 +551,6 @@ class VectorizedKernel:
         branch_sites: dict = {}
         total_steps = extra_steps
         last_group_locals: dict = {}
-        flat_groups_with_lanes = None
 
         def prepare(ctx):
             ctx.global_size = ndrange.global_size
@@ -610,8 +568,7 @@ class VectorizedKernel:
             prepare(ctx)
             ctx.gids, ctx.lids, ctx.grpids = gids, lids, grpids
             ctx.group_of = group_of
-            flat_groups_with_lanes = np.bincount(group_of, minlength=n_groups).astype(bool)
-            ctx.groups_with_lanes = flat_groups_with_lanes
+            ctx.groups_with_lanes = np.bincount(group_of, minlength=n_groups).astype(bool)
             ctx.buffer_views = views
             ctx.return_stack.append(_ReturnFrame(n))
             if self._body_fn is not None:
@@ -663,29 +620,14 @@ class VectorizedKernel:
 
         stats.dynamic_operations = total_steps
         collect_memory_stats(stats, pool, group_locals)
-        if self._uniform:
-            # Mask-elided branch sites carry scalar [saw_true, saw_false]
-            # flags; each marked flag stands for the full groups-with-lanes
-            # pattern the generic tier would have OR'd in (masks are always
-            # None under proven-uniform control), so the sums are identical.
-            live_groups = int(flat_groups_with_lanes.sum())
-            stats.branch_sites = sum(
-                live_groups for saw_true, saw_false in branch_sites.values()
-                if saw_true or saw_false
-            )
-            stats.divergent_branch_sites = sum(
-                live_groups for saw_true, saw_false in branch_sites.values()
-                if saw_true and saw_false
-            )
-        else:
-            stats.branch_sites = sum(
-                int((seen_true | seen_false).sum())
-                for seen_true, seen_false in branch_sites.values()
-            )
-            stats.divergent_branch_sites = sum(
-                int((seen_true & seen_false).sum())
-                for seen_true, seen_false in branch_sites.values()
-            )
+        stats.branch_sites = sum(
+            int((seen_true | seen_false).sum())
+            for seen_true, seen_false in branch_sites.values()
+        )
+        stats.divergent_branch_sites = sum(
+            int((seen_true & seen_false).sum())
+            for seen_true, seen_false in branch_sites.values()
+        )
         return ExecutionResult(kernel_name=self._kernel.name, pool=pool, stats=stats)
 
     def _init_globals(self, stats: ExecutionStats) -> tuple[dict, int]:
@@ -935,32 +877,6 @@ class VectorizedKernel:
         site = self._site_count
         self._site_count += 1
 
-        if self._uniform:
-            # Mask elision: the divergence pass proved every condition
-            # lane-uniform, so the outcome must be a scalar bool and the
-            # branch runs whole-lane (mask stays None) with no mask algebra
-            # and no per-group branch-site marking.  An array outcome
-            # contradicts the proof — bail out and rerun the generic tier.
-            def run_uniform(ctx, mask):
-                ctx.bump(mask)
-                outcome = _truthy_of(condition_fn(ctx, mask))
-                ctx.stats.branch_evaluations += mask_count(mask, ctx.n)
-                if not isinstance(outcome, (bool, np.bool_)):
-                    raise LockstepBailout("uniform-control misprediction")
-                flags = ctx.branch_sites.get(site)
-                if flags is None:
-                    flags = [False, False]
-                    ctx.branch_sites[site] = flags
-                if outcome:
-                    flags[0] = True
-                    return then_fn(ctx, mask) if then_fn is not None else mask
-                flags[1] = True
-                if has_else:
-                    return else_fn(ctx, mask) if else_fn is not None else mask
-                return mask
-
-            return run_uniform
-
         def run(ctx, mask):
             ctx.bump(mask)
             outcome = _truthy_of(condition_fn(ctx, mask))
@@ -998,7 +914,6 @@ class VectorizedKernel:
         body_fn = self._compile_statement(statement.body, in_helper)
         self._break_depth -= 1
         self._continue_depth -= 1
-        uniform = self._uniform
 
         def run(ctx, mask):
             ctx.bump(mask)
@@ -1014,8 +929,6 @@ class VectorizedKernel:
                     if condition_fn is not None:
                         outcome = _truthy_of(condition_fn(ctx, live))
                         ctx.stats.branch_evaluations += mask_count(live, ctx.n)
-                        if uniform and not isinstance(outcome, (bool, np.bool_)):
-                            raise LockstepBailout("uniform-control misprediction")
                         exited = mask_or(exited, mask_andnot(live, outcome))
                         live = mask_and(live, outcome)
                         if not mask_any(live):
@@ -1039,7 +952,6 @@ class VectorizedKernel:
         body_fn = self._compile_statement(statement.body, in_helper)
         self._break_depth -= 1
         self._continue_depth -= 1
-        uniform = self._uniform
 
         def run(ctx, mask):
             ctx.bump(mask)
@@ -1054,8 +966,6 @@ class VectorizedKernel:
                     ctx.check_budget()
                     outcome = _truthy_of(condition_fn(ctx, live))
                     ctx.stats.branch_evaluations += mask_count(live, ctx.n)
-                    if uniform and not isinstance(outcome, (bool, np.bool_)):
-                        raise LockstepBailout("uniform-control misprediction")
                     exited = mask_or(exited, mask_andnot(live, outcome))
                     live = mask_and(live, outcome)
                     if not mask_any(live):
@@ -1077,7 +987,6 @@ class VectorizedKernel:
         body_fn = self._compile_statement(statement.body, in_helper)
         self._break_depth -= 1
         self._continue_depth -= 1
-        uniform = self._uniform
 
         def run(ctx, mask):
             ctx.bump(mask)
@@ -1097,8 +1006,6 @@ class VectorizedKernel:
                         break
                     outcome = _truthy_of(condition_fn(ctx, live))
                     ctx.stats.branch_evaluations += mask_count(live, ctx.n)
-                    if uniform and not isinstance(outcome, (bool, np.bool_)):
-                        raise LockstepBailout("uniform-control misprediction")
                     exited = mask_or(exited, mask_andnot(live, outcome))
                     live = mask_and(live, outcome)
                 return mask_or(exited, break_holder.take())
@@ -1117,7 +1024,6 @@ class VectorizedKernel:
             children = [self._compile_statement(child, in_helper) for child in case.body]
             cases.append((value_fn, [fn for fn in children if fn is not None]))
         self._break_depth -= 1
-        uniform = self._uniform
 
         def run(ctx, mask):
             ctx.bump(mask)
@@ -1135,8 +1041,6 @@ class VectorizedKernel:
                         case_value = value_fn(ctx, pending)
                         equal = _binary_values("==", value, case_value, pending)
                         outcome = _truthy_of(equal)
-                        if uniform and not isinstance(outcome, (bool, np.bool_)):
-                            raise LockstepBailout("uniform-control misprediction")
                         matched = mask_and(pending, outcome)
                         pending = mask_andnot(pending, outcome)
                     else:

@@ -67,6 +67,11 @@ SCHEMA_VERSIONS: dict[str, int] = {
     #: Per-kernel-range synthetic measurements.  v2: slim measurement
     #: pickling (see suite-measurements).
     "synthetic-measurements-shard": 2,
+    #: Static-analyzer verdict records for a synthesized batch
+    #: (repro.store.stages lint_verdicts).  v1: records no longer carry a
+    #: ``specialization`` entry, so unversioned (v0) records have the old
+    #: layout.
+    "lint-verdicts": 1,
     #: A published work-stealing pipeline plan (config + shard count) that
     #: ``repro worker`` instances discover and drain (repro.store.queue).
     "plan": 1,

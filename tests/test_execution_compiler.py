@@ -3,8 +3,10 @@
 The closure compiler must be a perfect stand-in for the legacy interpreter,
 and the vectorized lockstep tier a perfect stand-in for both: identical
 buffer contents and identical :class:`ExecutionStats` on every kernel of
-every benchmark suite, plus equivalent behaviour on the edge cases
-(barriers, timeouts, helper functions, atomics).  The lockstep tier is
+every benchmark suite and on hand-written and generated kernel families
+(uniform control flow, affine lane streams, corpus archetypes), plus
+equivalent behaviour on the edge cases (barriers, timeouts, helper
+functions, atomics).  The lockstep tier is
 exercised through the engine router, so kernels it rejects or bails out of
 exercise the closure fallback — which must still agree, making the
 invariant hold for every kernel regardless of which tier actually ran it.
@@ -17,12 +19,15 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clc import compile_source, parse
+from repro.corpus import ContentFileGenerator
 from repro.driver.harness import HostDriver
 from repro.driver.payload import PayloadConfig, PayloadGenerator
 from repro.errors import KernelTimeoutError, LockstepBailout
 from repro.execution import (
+    VECTORIZER_STATS,
     CompilationCache,
     CompiledKernel,
     KernelInterpreter,
@@ -69,6 +74,44 @@ def _assert_same(reference, candidate, label: str) -> None:
             assert _bit_identical(a, b), (label, name, index, a, b)
 
 
+def _payload_for(kernel, global_size=32, local_size=8, seed=3):
+    generator = PayloadGenerator(
+        PayloadConfig(global_size=global_size, local_size=local_size, seed=seed)
+    )
+    return generator.generate(kernel, work_dim=HostDriver._kernel_work_dim(kernel))
+
+
+def _assert_engines_agree(unit, kernel_name, payload, *, lockstep_required=False):
+    """Run the interpreter, the closure engine and the lockstep tier on
+    clones of *payload* and demand identical buffers and stats.
+
+    The lockstep tier runs exactly as the router would run it: vectorize if
+    possible, fall back to the closure engine on rejection or mid-flight
+    bailout (the pool must be untouched at bailout).  *lockstep_required*
+    turns rejection and bailout into failures, for kernels the tier must
+    accept.
+    """
+    payload_interpreted = payload.clone()
+    payload_lockstep = payload.clone()
+
+    results_compiled = _execute(CompiledKernel(unit, kernel_name), payload)
+    results_legacy = _execute(KernelInterpreter(unit, kernel_name), payload_interpreted)
+    _assert_same(results_legacy, results_compiled, "closure-vs-interpreter")
+
+    vectorized = try_vectorize(unit, kernel_name)
+    if vectorized is None:
+        # Statically outside the lockstep subset: the router would use the
+        # closure engine, which is already asserted above.
+        assert not lockstep_required, "kernel rejected by the lockstep tier"
+        return
+    try:
+        results_lockstep = _execute(vectorized, payload_lockstep)
+    except LockstepBailout as bailout:
+        assert not lockstep_required, f"lockstep tier bailed out: {bailout}"
+        results_lockstep = _execute(CompiledKernel(unit, kernel_name), payload_lockstep)
+    _assert_same(results_legacy, results_lockstep, "lockstep-vs-interpreter")
+
+
 class TestDifferentialSuites:
     """Every suite kernel, executed by all three engines, must agree exactly."""
 
@@ -80,50 +123,185 @@ class TestDifferentialSuites:
             if suite_benchmark.kernel_name
             else unit.kernels[0]
         )
-        work_dim = HostDriver._kernel_work_dim(kernel)
-        generator = PayloadGenerator(PayloadConfig(global_size=32, local_size=8, seed=3))
-        payload = generator.generate(kernel, work_dim=work_dim)
-        payload_interpreted = payload.clone()
-        payload_lockstep = payload.clone()
-        payload_specialized = payload.clone()
+        _assert_engines_agree(unit, kernel.name, _payload_for(kernel))
 
-        compiled = CompiledKernel(unit, kernel.name)
-        results_compiled = _execute(compiled, payload)
-        legacy = KernelInterpreter(unit, kernel.name)
-        results_legacy = _execute(legacy, payload_interpreted)
-        _assert_same(results_legacy, results_compiled, "closure-vs-interpreter")
 
-        # Third way: the lockstep tier, exactly as the router would run it —
-        # vectorize if possible, fall back to the closure engine on rejection
-        # or mid-flight bailout (the pool must be untouched at bailout).
-        vectorized = try_vectorize(unit, kernel.name)
-        if vectorized is None:
-            # Statically outside the lockstep subset: the router would use
-            # the closure engine, which is already asserted above.
-            return
+def _assert_kernel_agrees(source: str, *, lockstep_required=True, **payload_kwargs):
+    unit = _compile_unit(source)
+    kernel = unit.kernels[0]
+    _assert_engines_agree(
+        unit, kernel.name, _payload_for(kernel, **payload_kwargs),
+        lockstep_required=lockstep_required,
+    )
+
+
+class TestUniformControl:
+    """Lane-uniform loops, branches and switches (every lane takes the same
+    path, so the divergence masks stay whole)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        iterations=st.integers(min_value=0, max_value=6),
+        threshold=st.integers(min_value=-4, max_value=40),
+        use_else=st.booleans(),
+        global_size=st.sampled_from([1, 7, 32, 64]),
+        seed=st.integers(min_value=0, max_value=50),
+    )
+    def test_uniform_loops_and_branches(
+        self, iterations, threshold, use_else, global_size, seed
+    ):
+        else_clause = "else { acc = acc + b[gid]; }" if use_else else ""
+        source = f"""
+        __kernel void k(__global float* a, __global float* b, const int n) {{
+          int gid = get_global_id(0);
+          float acc = a[gid];
+          for (int i = 0; i < {iterations}; i++) {{
+            acc = acc * 0.5f + b[gid];
+          }}
+          if (n > {threshold}) {{ acc = acc - 3.0f; }} {else_clause}
+          a[gid] = acc;
+        }}
+        """
+        _assert_kernel_agrees(source, global_size=global_size, seed=seed)
+
+    def test_uniform_for_and_switch(self):
+        source = """
+        __kernel void k(__global int* a, const int n) {
+          int gid = get_global_id(0);
+          int acc = a[gid];
+          for (int i = 0; i < 5; i++) { acc = acc + i; }
+          switch (n % 3) {
+            case 0: acc = acc + 1; break;
+            case 1: acc = acc + 2; break;
+            default: acc = acc + 3; break;
+          }
+          a[gid] = acc;
+        }
+        """
+        _assert_kernel_agrees(source)
+
+    def test_divergent_bounds_guard(self):
+        """The ubiquitous ``if (gid < n)`` guard splits the lanes."""
+        source = """
+        __kernel void k(__global float* a, __global float* b, const int n) {
+          int gid = get_global_id(0);
+          if (gid < n) { a[gid] = b[gid] * 2.0f; }
+        }
+        """
+        _assert_kernel_agrees(source)
+
+
+class TestAffineStreams:
+    """Affine subscripts: direct, descending and strided lane streams."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        coefficient=st.sampled_from(["1.0f", "0.5f", "-2.0f", "3.25f"]),
+        offset=st.sampled_from(["0.0f", "1.0f", "-4.5f"]),
+        global_size=st.sampled_from([1, 2, 31, 64]),
+        seed=st.integers(min_value=0, max_value=50),
+    )
+    def test_direct_streams(self, coefficient, offset, global_size, seed):
+        source = f"""
+        __kernel void k(__global float* a, __global float* b) {{
+          int gid = get_global_id(0);
+          b[gid] = a[gid] * {coefficient} + {offset};
+        }}
+        """
+        _assert_kernel_agrees(source, global_size=global_size, seed=seed)
+
+    def test_negative_stride(self):
+        """A descending subscript, out of bounds for the low lanes: the
+        clamping and out-of-bounds accounting must match."""
+        source = """
+        __kernel void k(__global float* a, __global float* b, const int n) {
+          int gid = get_global_id(0);
+          b[gid] = a[n - gid];
+        }
+        """
+        _assert_kernel_agrees(source, global_size=16, local_size=8)
+
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_strided_streams(self, stride):
+        source = f"""
+        __kernel void k(__global float* a, __global float* b) {{
+          int gid = get_global_id(0);
+          b[gid] = a[{stride} * gid] + a[{stride} * gid + 1];
+        }}
+        """
+        _assert_kernel_agrees(source, global_size=16, local_size=8)
+
+
+class TestArchetypeDifferential:
+    """Realistic generated kernels: every one must agree across engines."""
+
+    _ARCHETYPES = [
+        "add", "saxpy", "scale", "map", "zip", "stencil", "reduce", "dot",
+        "matmul", "transpose", "activation", "threshold", "triad", "heavy", "copy",
+    ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        archetype=st.sampled_from(_ARCHETYPES),
+        seed=st.integers(min_value=0, max_value=400),
+    )
+    def test_archetypes_match(self, archetype, seed):
+        generated = ContentFileGenerator(seed=seed).generate_archetype(archetype)
         try:
-            results_lockstep = _execute(vectorized, payload_lockstep)
-        except LockstepBailout:
-            fallback = CompiledKernel(unit, kernel.name)
-            results_lockstep = _execute(fallback, payload_lockstep)
-        _assert_same(results_legacy, results_lockstep, "lockstep-vs-interpreter")
-
-        # Fourth way: the analyzer-specialized lockstep tier, for kernels
-        # the analyzer proves eligible (SAFE + uniform control).  Eligible
-        # kernels carry the never-bails promise, so a bailout here is a
-        # soundness failure, not a fallback.
-        from repro.analysis import analyze_kernel
-        from repro.execution.vectorizer import NotVectorizable, VectorizedKernel
-
-        facts = analyze_kernel(unit, kernel.name).specialization
-        if facts is None or not facts.eligible:
+            unit = _compile_unit(generated.text)
+        except Exception:
             return
-        try:
-            specialized = VectorizedKernel(unit, kernel.name, specialization=facts)
-        except NotVectorizable:
+        if not unit.kernels:
             return
-        results_specialized = _execute(specialized, payload_specialized)
-        _assert_same(results_legacy, results_specialized, "specialized-vs-interpreter")
+        kernel = unit.kernels[0]
+        _assert_engines_agree(unit, kernel.name, _payload_for(kernel))
+
+
+class TestRouter:
+    """``run_kernel`` routes through the lockstep tier and keeps no state
+    between executions."""
+
+    SOURCE = """
+    __kernel void k(__global float* a, __global float* b) {
+      int gid = get_global_id(0);
+      b[gid] = a[gid] + 1.0f;
+    }
+    """
+
+    @staticmethod
+    def _routed(unit, payload, **kwargs):
+        result = run_kernel(
+            unit, payload.pool, payload.scalar_args, payload.ndrange, **kwargs
+        )
+        buffers = {name: buf.to_list() for name, buf in payload.pool.buffers.items()}
+        return buffers, dataclasses.asdict(result.stats)
+
+    def test_auto_engine_uses_lockstep_tier(self):
+        unit = _compile_unit(self.SOURCE)
+        payload = _payload_for(unit.kernels[0])
+        before = VECTORIZER_STATS.executions
+        self._routed(unit, payload)
+        assert VECTORIZER_STATS.executions > before
+
+    def test_forced_vectorized_engine_matches_lockstep(self):
+        unit = _compile_unit(self.SOURCE)
+        payload = _payload_for(unit.kernels[0])
+        reference = _execute(try_vectorize(unit), payload.clone())
+        assert self._routed(unit, payload, engine="vectorized") == reference
+
+    def test_interleaved_executions_leak_no_state(self):
+        """Cached lockstep artifacts, run interleaved with another kernel
+        on the same shapes, give the result of a fresh artifact."""
+        source_y = self.SOURCE.replace("a[gid] + 1.0f", "a[gid] - 7.5f")
+        unit_x, unit_y = _compile_unit(self.SOURCE), _compile_unit(source_y)
+        payload_x = _payload_for(unit_x.kernels[0])
+        reference = _execute(try_vectorize(unit_x), payload_x.clone())
+
+        first = self._routed(unit_x, payload_x.clone())
+        self._routed(unit_y, _payload_for(unit_y.kernels[0]))
+        second = self._routed(unit_x, payload_x.clone())
+        assert first == reference
+        assert second == reference
 
 
 class TestLockstepCoverage:

@@ -357,8 +357,8 @@ class TestBenchCompareSchemaFlag:
 
 
 class TestBenchCompareAllowRegression:
-    """PR 10's specialization moves per-candidate frontend + analysis work
-    from execute into sample-time seeding — a deliberate cost shift.
+    """Compile seeding moves per-candidate frontend work from execute into
+    the sample phase — a deliberate cost shift.
     ``--allow-regression PHASE`` acknowledges it: the slowdown still prints
     as a FLAG, but only unlisted phases fail the comparison."""
 
