@@ -73,6 +73,40 @@ _OPCODE_CATEGORIES: dict[str, OpCategory] = {
 }
 
 
+#: What :meth:`IRFunction.counts` tallies each category as.  The four
+#: "compute" categories are Table 2a's compute operations; every category
+#: but ``LABEL`` is a static instruction.
+_CATEGORY_KIND: dict[OpCategory, str] = {
+    OpCategory.ARITHMETIC: "compute",
+    OpCategory.LOGICAL: "compute",
+    OpCategory.COMPARISON: "compute",
+    OpCategory.CONVERSION: "compute",
+    OpCategory.LOAD: "memory",
+    OpCategory.STORE: "memory",
+    OpCategory.BRANCH: "branch",
+    OpCategory.LABEL: "label",
+}
+
+#: The same, looked up by opcode (unknown opcodes are ``OTHER``).
+_COUNTED_KIND: dict[str, str] = {
+    opcode: _CATEGORY_KIND[category]
+    for opcode, category in _OPCODE_CATEGORIES.items()
+    if category in _CATEGORY_KIND
+}
+
+
+@dataclass(frozen=True)
+class InstructionCounts:
+    """The static counts of one function (see :meth:`IRFunction.counts`)."""
+
+    compute: int  #: arithmetic, logical, comparison and conversion operations
+    global_memory: int  #: loads and stores to global memory
+    local_memory: int  #: loads and stores to local memory
+    coalesced: int  #: coalesced global loads and stores
+    branches: int  #: branch instructions
+    static_instructions: int  #: every instruction that is not a label
+
+
 @dataclass
 class Instruction:
     """A single IR instruction.
@@ -138,47 +172,59 @@ class IRFunction:
     # Grewe feature extractor are built from).
     # ------------------------------------------------------------------
 
+    def counts(self) -> "InstructionCounts":
+        """Every static count, from one pass over the instructions."""
+        compute = global_accesses = local_accesses = coalesced = branches = static = 0
+        for inst in self.instructions:
+            kind = _COUNTED_KIND.get(inst.opcode)
+            if kind == "label":
+                continue
+            static += 1
+            if kind == "compute":
+                compute += 1
+            elif kind == "memory":
+                if inst.address_space == "global":
+                    global_accesses += 1
+                    if inst.coalesced:
+                        coalesced += 1
+                elif inst.address_space == "local":
+                    local_accesses += 1
+            elif kind == "branch":
+                branches += 1
+        return InstructionCounts(
+            compute=compute,
+            global_memory=global_accesses,
+            local_memory=local_accesses,
+            coalesced=coalesced,
+            branches=branches,
+            static_instructions=static,
+        )
+
     @property
     def static_instruction_count(self) -> int:
         """Number of real (non-label) static instructions."""
-        return sum(1 for inst in self.instructions if inst.category is not OpCategory.LABEL)
-
-    def count_category(self, category: OpCategory) -> int:
-        return sum(1 for inst in self.instructions if inst.category is category)
+        return self.counts().static_instructions
 
     @property
     def compute_operations(self) -> int:
         """Arithmetic, logical, comparison and conversion operations."""
-        return sum(
-            1
-            for inst in self.instructions
-            if inst.category
-            in (OpCategory.ARITHMETIC, OpCategory.LOGICAL, OpCategory.COMPARISON, OpCategory.CONVERSION)
-        )
+        return self.counts().compute
 
     @property
     def global_memory_accesses(self) -> int:
-        return sum(
-            1 for inst in self.instructions if inst.is_memory_access and inst.address_space == "global"
-        )
+        return self.counts().global_memory
 
     @property
     def local_memory_accesses(self) -> int:
-        return sum(
-            1 for inst in self.instructions if inst.is_memory_access and inst.address_space == "local"
-        )
+        return self.counts().local_memory
 
     @property
     def coalesced_memory_accesses(self) -> int:
-        return sum(
-            1
-            for inst in self.instructions
-            if inst.is_memory_access and inst.address_space == "global" and inst.coalesced
-        )
+        return self.counts().coalesced
 
     @property
     def branch_operations(self) -> int:
-        return self.count_category(OpCategory.BRANCH)
+        return self.counts().branches
 
     def render(self) -> str:
         """Render the function as PTX-flavoured text."""

@@ -178,10 +178,12 @@ def synthesize_and_measure(
     (un-stored) path, since its inputs have no stage fingerprint.
     """
     runner = runner or default_runner()
-    # The paper's host driver synthesizes payloads spanning 128B–130MB; the
-    # default dataset_scales spread gives the synthetic kernels the same
-    # effect.  measure_many inside the execute stage fans out over a process
-    # pool when REPRO_MEASURE_WORKERS (or measure_workers) is set.
+    # The paper's host driver synthesizes payloads spanning 128B–130MB.  Here
+    # each synthetic kernel is measured at one dataset scale, picked by its
+    # index from dataset_scales; at full scale the default scales give
+    # transfers of about 12KB–3MB, so they do not reproduce that spread.
+    # measure_many inside the execute stage fans out over a process pool when
+    # REPRO_MEASURE_WORKERS (or measure_workers) is set.
     stage_config = PipelineConfig.from_experiment(config, count=count)
     if clgen is not None and (
         getattr(clgen, "stage_model_fingerprint", None) != model_fingerprint(stage_config)

@@ -38,6 +38,9 @@ class Figure7Platform:
     static_device: str
     baseline_speedups: dict[str, float] = field(default_factory=dict)
     with_clgen_speedups: dict[str, float] = field(default_factory=dict)
+    #: The device each observation was mapped to, without and with CLgen.
+    baseline_predictions: dict[str, str] = field(default_factory=dict)
+    with_clgen_predictions: dict[str, str] = field(default_factory=dict)
 
     @property
     def baseline_average(self) -> float:
@@ -118,9 +121,11 @@ def run_figure7(
             panel.baseline_speedups[outcome.measurement.name] = speedup_over_static(
                 [outcome], static_device
             )[0]
+            panel.baseline_predictions[outcome.measurement.name] = outcome.predicted_device
         for outcome in clgen_cv.outcomes:
             panel.with_clgen_speedups[outcome.measurement.name] = speedup_over_static(
                 [outcome], static_device
             )[0]
+            panel.with_clgen_predictions[outcome.measurement.name] = outcome.predicted_device
         result.platforms[platform] = panel
     return result

@@ -75,13 +75,14 @@ class StaticFeatures:
 
     @classmethod
     def from_ir_function(cls, function: IRFunction) -> "StaticFeatures":
+        counts = function.counts()
         return cls(
-            comp=function.compute_operations,
-            mem=function.global_memory_accesses,
-            localmem=function.local_memory_accesses,
-            coalesced=function.coalesced_memory_accesses,
-            branches=function.branch_operations,
-            static_instructions=function.static_instruction_count,
+            comp=counts.compute,
+            mem=counts.global_memory,
+            localmem=counts.local_memory,
+            coalesced=counts.coalesced,
+            branches=counts.branches,
+            static_instructions=counts.static_instructions,
         )
 
     @classmethod

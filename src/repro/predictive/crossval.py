@@ -72,29 +72,41 @@ def leave_one_benchmark_out(
     extra_training = extra_training or []
     result = CrossValidationResult(platform=platform)
 
+    # Every fold's model extracts features the same way, so each measurement's
+    # row is extracted once here and shared by all the folds it appears in.
+    features_of = model_factory(platform).features_of
     benchmarks = sorted(measurements_by_benchmark)
+    rows_by_benchmark = {
+        benchmark: [features_of(m) for m in measurements_by_benchmark[benchmark]]
+        for benchmark in benchmarks
+    }
+    extra_rows = [features_of(m) for m in extra_training]
+
     for held_out in benchmarks:
         test_measurements = measurements_by_benchmark[held_out]
         training: list[KernelMeasurement] = []
+        training_rows: list[list[float]] = []
         for other in benchmarks:
             if other != held_out:
                 training.extend(measurements_by_benchmark[other])
+                training_rows.extend(rows_by_benchmark[other])
         training.extend(extra_training)
+        training_rows.extend(extra_rows)
         if not training or not test_measurements:
             continue
 
         model = model_factory(platform)
         # A training set with a single class still produces a usable
         # (constant) model; the decision tree handles that case natively.
-        model.fit(training)
+        model.fit(training, training_rows)
 
         fold_outcomes = [
             PredictionOutcome(
                 measurement=measurement,
-                predicted_device=model.predict(measurement),
+                predicted_device=model.predict(measurement, row),
                 platform=platform,
             )
-            for measurement in test_measurements
+            for measurement, row in zip(test_measurements, rows_by_benchmark[held_out])
         ]
         result.outcomes.extend(fold_outcomes)
         result.outcomes_by_benchmark[held_out] = fold_outcomes

@@ -53,18 +53,33 @@ class MappingModel:
     def features_of(self, measurement: KernelMeasurement) -> list[float]:
         return self.feature_extractor(measurement).as_list()
 
-    def fit(self, measurements: list[KernelMeasurement]) -> "MappingModel":
-        """Train on measurements labelled by their oracle mapping for the platform."""
+    def fit(
+        self,
+        measurements: list[KernelMeasurement],
+        rows: list[list[float]] | None = None,
+    ) -> "MappingModel":
+        """Train on measurements labelled by their oracle mapping for the platform.
+
+        *rows*, when given, are the measurements' feature rows
+        (:meth:`features_of`), in the same order; a caller that fits many
+        models on overlapping data extracts them once.
+        """
         if not measurements:
             raise ValueError("cannot train a mapping model on zero measurements")
-        features = [self.features_of(m) for m in measurements]
+        if rows is None:
+            rows = [self.features_of(m) for m in measurements]
         labels = [m.oracle(self.platform) for m in measurements]
-        self.classifier.fit(features, labels)
+        self.classifier.fit(rows, labels)
         return self
 
-    def predict(self, measurement: KernelMeasurement) -> str:
-        """Predicted device ("cpu" or "gpu") for one kernel/dataset."""
-        return self.classifier.predict_one(self.features_of(measurement))
+    def predict(self, measurement: KernelMeasurement, row: list[float] | None = None) -> str:
+        """Predicted device ("cpu" or "gpu") for one kernel/dataset.
+
+        *row* is the measurement's feature row, when the caller has it.
+        """
+        if row is None:
+            row = self.features_of(measurement)
+        return self.classifier.predict_one(row)
 
     def predict_many(self, measurements: list[KernelMeasurement]) -> list[str]:
         return [self.predict(m) for m in measurements]

@@ -161,6 +161,42 @@ class TestCodegen:
         kernel = lower(parse(source)).function("C")
         assert kernel.coalesced_memory_accesses == 2
 
+    def test_one_pass_counts_match_their_category_definitions(self):
+        from repro.clc.ir import Instruction, InstructionCounts, IRFunction, OpCategory
+        from repro.suites import all_benchmarks
+
+        functions = [
+            function
+            for benchmark in all_benchmarks()
+            for function in compile_source(benchmark.source, strict=False).ir.functions
+        ]
+        functions.append(IRFunction(name="edge", instructions=[
+            Instruction("label", operands=("L0",)),
+            Instruction("atom", address_space="global", coalesced=True),
+            Instruction("ld", address_space="local"),
+            Instruction("st", address_space="private"),
+            Instruction("ld", address_space="global", coalesced=False),
+            Instruction("cvt"), Instruction("setp"), Instruction("bra"), Instruction("vendor-op"),
+        ]))
+        compute = (OpCategory.ARITHMETIC, OpCategory.LOGICAL, OpCategory.COMPARISON, OpCategory.CONVERSION)
+        for function in functions:
+            instructions = function.instructions
+            memory = [inst for inst in instructions if inst.is_memory_access]
+            counts = function.counts()
+            assert counts.compute == sum(inst.category in compute for inst in instructions)
+            assert counts.global_memory == sum(inst.address_space == "global" for inst in memory)
+            assert counts.local_memory == sum(inst.address_space == "local" for inst in memory)
+            assert counts.coalesced == sum(
+                inst.address_space == "global" and inst.coalesced for inst in memory
+            )
+            assert counts.branches == sum(inst.category is OpCategory.BRANCH for inst in instructions)
+            assert counts.static_instructions == sum(
+                inst.category is not OpCategory.LABEL for inst in instructions
+            )
+        assert functions[-1].counts() == InstructionCounts(
+            compute=2, global_memory=2, local_memory=1, coalesced=1, branches=1, static_instructions=8
+        )
+
     def test_ir_renders_as_ptx_like_text(self, vecadd_source):
         module = lower(parse(vecadd_source))
         text = module.render()

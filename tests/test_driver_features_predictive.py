@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +30,7 @@ from repro.predictive import (
     DecisionTreeClassifier,
     ExtendedModel,
     GreweModel,
+    MappingModel,
     PredictionOutcome,
     best_static_device,
     geometric_mean,
@@ -35,7 +38,9 @@ from repro.predictive import (
     leave_one_benchmark_out,
     mean_speedup,
     performance_relative_to_oracle,
+    train_test_split_evaluation,
 )
+from repro.predictive.decision_tree import TreeNode, _gini_of_counts
 import numpy as np
 
 
@@ -231,6 +236,176 @@ class TestDecisionTree:
         assert tree.accuracy(features, labels) >= majority - 1e-9
 
 
+def _reference_gini(targets: np.ndarray) -> float:
+    if targets.size == 0:
+        return 0.0
+    counts = Counter(targets.tolist())
+    total = targets.size
+    return 1.0 - sum((count / total) ** 2 for count in counts.values())
+
+
+def _reference_majority(targets: np.ndarray) -> str:
+    counts = Counter(targets.tolist())
+    return str(sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))[0][0])
+
+
+def _reference_candidates(tree: DecisionTreeClassifier, column: np.ndarray, targets: np.ndarray, impurity: float):
+    """(threshold, gain) of every allowed split on *column*, one mask and two Counters each."""
+    total = targets.size
+    candidates = np.unique(column)
+    if candidates.size < 2:
+        return []
+    out = []
+    for threshold in (candidates[:-1] + candidates[1:]) / 2.0:
+        left_mask = column <= threshold
+        left_count = int(left_mask.sum())
+        right_count = total - left_count
+        if left_count < tree.min_samples_leaf or right_count < tree.min_samples_leaf:
+            continue
+        gain = impurity - (
+            left_count / total * _reference_gini(targets[left_mask])
+            + right_count / total * _reference_gini(targets[~left_mask])
+        )
+        out.append((float(threshold), gain))
+    return out
+
+
+def _reference_grow(tree: DecisionTreeClassifier, data: np.ndarray, targets: np.ndarray, depth: int) -> TreeNode:
+    """The split search as first written, kept as the reference for the prefix-count search."""
+    node = TreeNode(
+        prediction=_reference_majority(targets),
+        samples=int(targets.size),
+        impurity=_reference_gini(targets),
+    )
+    if depth >= tree.max_depth or targets.size < tree.min_samples_split or node.impurity == 0.0:
+        return node
+    best_gain = 0.0
+    best_split = None
+    for feature_index in range(data.shape[1]):
+        for threshold, gain in _reference_candidates(tree, data[:, feature_index], targets, node.impurity):
+            if gain > best_gain + 1e-12:
+                best_gain = gain
+                best_split = (feature_index, threshold)
+    if best_split is None:
+        return node
+    node.feature_index, node.threshold = best_split
+    left_mask = data[:, node.feature_index] <= node.threshold
+    node.left = _reference_grow(tree, data[left_mask], targets[left_mask], depth + 1)
+    node.right = _reference_grow(tree, data[~left_mask], targets[~left_mask], depth + 1)
+    return node
+
+
+def _node_fields(node: TreeNode | None):
+    """Every field of a (sub)tree, as nested tuples that compare floats exactly."""
+    if node is None:
+        return None
+    return (
+        node.feature_index,
+        node.threshold,
+        node.prediction,
+        node.samples,
+        node.impurity,
+        _node_fields(node.left),
+        _node_fields(node.right),
+    )
+
+
+#: Feature values: repeated small integers, magnitudes from 1e-300 to 1e300,
+#: and neighbouring doubles whose midpoint rounds onto one of them.
+_TREE_VALUES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent, st.integers(-9, 9), st.integers(-300, 300)),
+    st.sampled_from([1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
+                     5e-324, 1e-323, 1.5e-323]),
+)
+
+
+@st.composite
+def _tree_problems(draw):
+    rows = draw(st.integers(2, 48))
+    width = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(width):
+        if draw(st.booleans()):
+            pool = draw(st.lists(_TREE_VALUES, min_size=1, max_size=4))
+            columns.append(draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)))
+        else:
+            columns.append(draw(st.lists(_TREE_VALUES, min_size=rows, max_size=rows)))
+    classes = draw(st.sampled_from([("cpu", "gpu"), ("a", "b", "c")]))
+    labels = draw(st.lists(st.sampled_from(classes), min_size=rows, max_size=rows))
+    tree = DecisionTreeClassifier(
+        max_depth=draw(st.integers(1, 8)),
+        min_samples_leaf=draw(st.integers(1, 5)),
+        min_samples_split=draw(st.integers(2, 10)),
+    )
+    return [list(row) for row in zip(*columns)], labels, tree
+
+
+class TestSplitSearchExactness:
+    @settings(max_examples=300, deadline=None)
+    @given(_tree_problems())
+    def test_tree_matches_the_per_threshold_scan_node_for_node(self, problem):
+        features, labels, tree = problem
+        tree.fit(features, labels)
+        data, targets = np.asarray(features, dtype=float), np.asarray(labels, dtype=object)
+        assert _node_fields(tree.root) == _node_fields(_reference_grow(tree, data, targets, depth=0))
+
+        # Every candidate's gain, not just the winner, is bit-identical.
+        codes = np.array([tree.classes_.index(label) for label in labels])
+        impurity = _reference_gini(targets)
+        for column in data.T:
+            thresholds, gains = tree._candidate_splits(column, codes, impurity)
+            assert list(zip(thresholds.tolist(), gains.tolist())) == _reference_candidates(
+                tree, column, targets, impurity
+            )
+
+    def test_a_later_gain_must_beat_the_best_by_more_than_1e_12(self):
+        # Splits at 1.0 and 2.5 have the same gain, 1/24, up to rounding; the
+        # later one rounds 6e-17 higher, which an argmax would take.
+        features = [[2.0], [3.0], [0.0], [2.0], [0.0], [2.0], [2.0], [3.0]]
+        labels = ["gpu", "cpu", "gpu", "gpu", "gpu", "cpu", "gpu", "gpu"]
+        tree = DecisionTreeClassifier(max_depth=1, min_samples_leaf=1, min_samples_split=2)
+        tree.fit(features, labels)
+        assert (tree.root.feature_index, tree.root.threshold) == (0, 1.0)
+
+    def test_impurity_rows_equal_gini_bit_for_bit(self):
+        # CPython's ``(k / n) ** 2`` and NumPy's square round differently for
+        # some k, n; split gains must use the former, term by term in
+        # first-appearance order, as the node impurity does.
+        rng = np.random.default_rng(7)
+        sizes = rng.integers(1, 3000, size=3000)
+        first = rng.integers(0, sizes + 1)
+        second = rng.integers(0, sizes - first + 1)
+        counts = np.stack([first, second, sizes - first - second], axis=1)
+        first_seen = np.argsort(rng.random(counts.shape), axis=1)
+
+        def gini(row, size, order):
+            return 1.0 - sum((row[i] / size) ** 2 for i in order if row[i])
+
+        two = np.stack([first, sizes - first], axis=1)
+        assert _gini_of_counts(two, sizes, None).tolist() == [
+            gini(row, size, (0, 1)) for row, size in zip(two.tolist(), sizes.tolist())
+        ]
+        assert _gini_of_counts(counts, sizes, first_seen).tolist() == [
+            gini(row, size, np.argsort(seen).tolist())
+            for row, size, seen in zip(counts.tolist(), sizes.tolist(), first_seen.tolist())
+        ]
+
+
+class _CountingExtractor:
+    """A feature extractor that counts how often it sees each measurement."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __call__(self, measurement):
+        self.calls[id(measurement)] += 1
+        return grewe_feature_vector(measurement)
+
+    def factory(self, platform: str) -> MappingModel:
+        return MappingModel(feature_extractor=self, platform=platform, name="counting")
+
+
 class TestPredictiveModels:
     @pytest.fixture(scope="class")
     def measurements(self, driver):
@@ -262,6 +437,34 @@ class TestPredictiveModels:
         result = leave_one_benchmark_out(groups, GreweModel, "AMD")
         assert result.folds == len(groups)
         assert len(result.outcomes) == len(measurements)
+
+    def test_cross_validation_extracts_each_measurement_once(self, measurements):
+        groups = group_by_benchmark(measurements, lambda m: ".".join(m.name.split(".")[:2]))
+        names = sorted(groups)
+        held, extra = {name: groups[name] for name in names[:-3]}, [
+            m for name in names[-3:] for m in groups[name]
+        ]
+        counting = _CountingExtractor()
+        result = leave_one_benchmark_out(held, counting.factory, "NVIDIA", extra_training=extra)
+        distinct = {id(m) for m in measurements}
+        assert set(counting.calls) == distinct
+        assert set(counting.calls.values()) == {1}
+
+        # The same outcomes as fitting and predicting fold by fold.
+        expected = []
+        for held_out in sorted(held):
+            training = [m for name in sorted(held) if name != held_out for m in held[name]] + extra
+            model = GreweModel("NVIDIA").fit(training)
+            expected.extend((m.name, model.predict(m)) for m in held[held_out])
+        assert [(o.measurement.name, o.predicted_device) for o in result.outcomes] == expected
+
+        train, test = measurements[: len(measurements) // 2], measurements[len(measurements) // 2 :]
+        counting = _CountingExtractor()
+        split = train_test_split_evaluation(train, test, counting.factory, "AMD")
+        assert set(counting.calls) == distinct
+        assert set(counting.calls.values()) == {1}
+        model = GreweModel("AMD").fit(train)
+        assert [o.predicted_device for o in split.outcomes] == [model.predict(m) for m in test]
 
     def test_metrics(self, measurements):
         model = GreweModel("AMD").fit(measurements)

@@ -20,6 +20,7 @@ from repro.experiments import (
     synthesize_and_measure,
 )
 from repro.experiments.figure8 import run_figure8
+from repro.store import SCHEMA_VERSIONS
 from repro.suites import suite_summary
 
 
@@ -97,6 +98,53 @@ class TestFigure7:
         # and should help on at least one platform (paper: helps on both).
         improvements = [panel.improvement for panel in result.platforms.values()]
         assert max(improvements) >= 1.0
+
+    def test_quick_scale_result_is_pinned_exactly(self, config, shared_data):
+        """Figure 7 at this module's quick scale, bit for bit.
+
+        The values belong to ``synthesis`` schema 2: a declared schema bump
+        may move them, and then they are re-recorded here.  Any other change
+        that moves them changed the science, not just the speed.
+        """
+        assert SCHEMA_VERSIONS["synthesis"] == 2
+        result = run_figure7(config, shared_data)
+        averages = {
+            platform: (panel.baseline_average, panel.with_clgen_average)
+            for platform, panel in result.platforms.items()
+        }
+        assert averages == {
+            "AMD": (1.2208153958783128, 1.273049956955303),
+            "NVIDIA": (1.4064315551030186, 1.3928562688371804),
+        }
+        # Every NPB observation is predicted; these are the ones mapped to the GPU.
+        on_gpu = {
+            "AMD": {
+                "baseline": {"BT.B", "CG.A", "EP.A", "EP.C", "EP.W", "FT.B", "LU.B", "LU.C"},
+                "with_clgen": {"BT.B", "CG.A", "EP.B", "EP.C", "FT.A", "FT.B", "LU.B", "LU.C"},
+            },
+            "NVIDIA": {
+                "baseline": {
+                    "BT.A", "BT.B", "CG.A", "CG.B", "CG.C", "EP.B", "EP.C", "EP.W", "FT.A",
+                    "FT.B", "LU.A", "LU.B", "LU.C", "MG.B", "MG.C", "SP.A", "SP.B", "SP.C",
+                },
+                "with_clgen": {
+                    "BT.A", "BT.B", "CG.A", "CG.B", "CG.C", "EP.B", "EP.C", "FT.A", "FT.B",
+                    "LU.A", "LU.B", "LU.C", "MG.B", "MG.C", "SP.A", "SP.B", "SP.C",
+                },
+            },
+        }
+        npb = {measurement.name for measurement in shared_data.suite_measurements["NPB"]}
+        assert len(npb) == 32
+        for platform, panel in result.platforms.items():
+            for training, predictions in (
+                ("baseline", panel.baseline_predictions),
+                ("with_clgen", panel.with_clgen_predictions),
+            ):
+                expected = {
+                    name: "gpu" if name.removeprefix("NPB.") in on_gpu[platform][training] else "cpu"
+                    for name in npb
+                }
+                assert predictions == expected, (platform, training)
 
     def test_speedups_are_positive(self, config, shared_data):
         result = run_figure7(config, shared_data)
